@@ -11,6 +11,11 @@ use the :func:`sanitized` context manager in tests) to arm them; a
 violated contract raises :class:`SanitizerError` at the first operation
 that can see it, instead of surfacing as garbage tokens much later.
 
+The env var is read once, when this module is imported, and again by
+:func:`reset`; :func:`enabled` never touches ``os.environ``, because the
+``tensor_contract`` wrapper asks it on every decorated call.  A test that
+changes the variable at run time calls :func:`reset` afterwards.
+
 Two flavours:
 
 * **guard functions** (``guard_finite``, ``guard_simplex``,
@@ -33,6 +38,14 @@ import numpy as np
 
 ENV_FLAG = "REPRO_SANITIZE"
 
+
+def _env_enabled() -> bool:
+    return os.environ.get(ENV_FLAG, "").strip() not in ("", "0", "false")
+
+
+#: ``REPRO_SANITIZE`` as read at import or at the last :func:`reset`.
+_FROM_ENV: bool = _env_enabled()
+
 #: Tri-state override: None -> follow the env var; True/False -> forced.
 _FORCED: Optional[bool] = None
 
@@ -45,7 +58,7 @@ def enabled() -> bool:
     """Whether guards are armed (override first, then ``REPRO_SANITIZE``)."""
     if _FORCED is not None:
         return _FORCED
-    return os.environ.get(ENV_FLAG, "").strip() not in ("", "0", "false")
+    return _FROM_ENV
 
 
 def enable(on: bool = True) -> None:
@@ -55,9 +68,10 @@ def enable(on: bool = True) -> None:
 
 
 def reset() -> None:
-    """Drop any :func:`enable` override; fall back to the env var."""
-    global _FORCED
+    """Drop any :func:`enable` override and re-read the env var."""
+    global _FORCED, _FROM_ENV
     _FORCED = None
+    _FROM_ENV = _env_enabled()
 
 
 @contextmanager

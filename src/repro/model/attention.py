@@ -109,15 +109,22 @@ def cross_mask(n_query: int, n_key: int, query_offset: int,
 @tensor_contract(q={"ndim": 3}, k={"ndim": 3}, v={"ndim": 3},
                  mask={"ndim": 2})
 def scaled_dot_attention(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Masked scaled-dot-product attention (inference path, no grad).
+
+    The score matrix is the only intermediate: scaling, the mask add and
+    the softmax all run in place on it, the same ops in the same order as
+    the out-of-place formula, so outputs are bit-identical to it.
 
     Args:
         q: ``(n_q, h, d_head)`` queries.
         k: ``(n_k, h, d_head)`` keys.
         v: ``(n_k, h, d_head)`` values.
         mask: ``(n_q, n_k)`` additive mask.
+        out: Optional ``(n_q, h, d_head)`` buffer the PV product is
+            written into (a row block of the caller's output).
 
     Returns:
         ``(n_q, h, d_head)`` attention outputs.
@@ -125,10 +132,11 @@ def scaled_dot_attention(
     d_head = q.shape[-1]
     perf.add_attention(q.shape[1], q.shape[0], k.shape[0], d_head)
     # (h, n_q, n_k) scores
-    scores = np.einsum("qhd,khd->hqk", q, k) / np.sqrt(d_head)
-    scores = scores + mask[None, :, :]
-    weights = stable_softmax(scores, axis=-1)
-    return np.einsum("hqk,khd->qhd", weights, v)
+    scores = np.einsum("qhd,khd->hqk", q, k)
+    scores /= np.sqrt(d_head)
+    scores += mask[None, :, :]
+    weights = stable_softmax(scores, axis=-1, out=scores)
+    return np.einsum("hqk,khd->qhd", weights, v, out=out)
 
 
 @tensor_contract(q={"ndim": 3})
@@ -169,7 +177,7 @@ def block_diagonal_attention(
         raise ValueError(f"out buffer {out.shape} != queries {q.shape}")
     for i, ((keys, values), mask) in enumerate(zip(kvs, masks)):
         lo, hi = row_offsets[i], row_offsets[i + 1]
-        out[lo:hi] = scaled_dot_attention(q[lo:hi], keys, values, mask)
+        scaled_dot_attention(q[lo:hi], keys, values, mask, out=out[lo:hi])
     return out
 
 

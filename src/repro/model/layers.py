@@ -42,9 +42,7 @@ def linear_forward(
     """
     perf.add_gemm(int(np.prod(x.shape[:-1], dtype=np.int64)), w.shape[0],
                   w.shape[1])
-    if out is None:
-        return x @ w + b, (x, w)
-    np.matmul(x, w, out=out)
+    out = np.matmul(x, w, out=out)
     out += b
     return out, (x, w)
 
@@ -70,12 +68,26 @@ def linear_backward(
 def layernorm_forward(
     x: np.ndarray, scale: np.ndarray, bias: np.ndarray, eps: float = 1e-5
 ) -> Tuple[np.ndarray, LayerCache]:
-    """LayerNorm over the last axis: ``scale * (x - mu) / sigma + bias``."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x - mu) * inv_std
-    return scale * x_hat + bias, (x_hat, inv_std, scale)
+    """LayerNorm over the last axis: ``scale * (x - mu) / sigma + bias``.
+
+    Centres once: ``x - sum/d``, squared, summed and divided by ``d`` is
+    exactly the sequence ``np.mean`` and ``np.var`` run, so the result is
+    bit-identical to ``(x - x.mean()) / sqrt(x.var() + eps)`` with one
+    reduction and one subtraction fewer.
+    """
+    d = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True)
+    mu /= d
+    x_hat = x - mu
+    var = np.square(x_hat).sum(axis=-1, keepdims=True)
+    var /= d
+    var += eps
+    inv_std = np.sqrt(var, out=var)
+    np.divide(1.0, inv_std, out=inv_std)
+    x_hat *= inv_std
+    out = x_hat * scale
+    out += bias
+    return out, (x_hat, inv_std, scale)
 
 
 # lint: allow-contract grad rank is polymorphic, mirroring layernorm_forward's x
@@ -102,12 +114,34 @@ def layernorm_backward(
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
-# lint: allow-contract elementwise: any rank of x is legal
-def gelu_forward(x: np.ndarray) -> Tuple[np.ndarray, LayerCache]:
-    """Tanh-approximation GELU (as used by GPT-2/OPT)."""
-    inner = _GELU_C * (x + 0.044715 * x**3)
-    t = np.tanh(inner)
-    return 0.5 * x * (1.0 + t), (x, t)
+@hot_path
+def gelu_forward(  # lint: allow-contract elementwise: any rank of x is legal
+    x: np.ndarray, out: np.ndarray = None, tanh_out: np.ndarray = None,
+) -> Tuple[np.ndarray, LayerCache]:
+    """Tanh-approximation GELU (as used by GPT-2/OPT).
+
+    Computes ``0.5 * x * (1 + tanh(C * (x + 0.044715 * x*(x*x))))`` one
+    elementwise op at a time into two buffers: the cube is ``x * (x * x)``,
+    never ``np.power``, which costs many times the rest of the layer.
+
+    Args:
+        x: Input activations, any shape.
+        out: Optional output buffer shaped like ``x``.
+        tanh_out: Optional buffer shaped like ``x`` for the ``tanh`` term
+            (returned in the cache for :func:`gelu_backward`).  With both
+            buffers passed, typically scratch-arena views, the call
+            allocates nothing; the results are bit-identical either way.
+    """
+    t = np.multiply(x, x, out=tanh_out)
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = np.add(t, 1.0, out=out)
+    out *= x
+    out *= 0.5
+    return out, (x, t)
 
 
 # lint: allow-contract elementwise: grad rank mirrors gelu_forward's x

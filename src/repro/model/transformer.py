@@ -215,7 +215,7 @@ class TransformerLM:
             x = x + p["pos_embed"][positions]
         n_heads = cfg.n_heads
         d_head = cfg.d_model // n_heads
-        qkv_out = attn_buf = logits_out = None
+        qkv_out = attn_buf = logits_out = gelu_out = gelu_t = None
         if scratch is not None:
             # Trailing dims are bounded exactly so the (n, h, d_head) view
             # stays C-contiguous and ``reshape(n_new, -1)`` below is a view,
@@ -226,6 +226,10 @@ class TransformerLM:
                                     cfg.dtype, bound=(0, n_heads, d_head))
             logits_out = scratch.take("fwd.logits", (n_new, cfg.vocab_size),
                                       cfg.dtype, bound=(0, cfg.vocab_size))
+            gelu_out = scratch.take("fwd.gelu", (n_new, cfg.d_ff),
+                                    cfg.dtype, bound=(0, cfg.d_ff))
+            gelu_t = scratch.take("fwd.gelu_t", (n_new, cfg.d_ff),
+                                  cfg.dtype, bound=(0, cfg.d_ff))
         for i in range(cfg.n_layers):
             pre = f"layer{i}"
             h, _ = layernorm_forward(x, p[f"{pre}.ln1.scale"], p[f"{pre}.ln1.bias"])
@@ -251,14 +255,14 @@ class TransformerLM:
             attn_out, _ = linear_forward(
                 attn.reshape(n_new, -1), p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"]
             )
-            x = x + attn_out
+            x += attn_out
             h2, _ = layernorm_forward(
                 x, p[f"{pre}.ln2.scale"], p[f"{pre}.ln2.bias"]
             )
             up, _ = linear_forward(h2, p[f"{pre}.mlp.w1"], p[f"{pre}.mlp.b1"])
-            act, _ = gelu_forward(up)
+            act, _ = gelu_forward(up, out=gelu_out, tanh_out=gelu_t)
             down, _ = linear_forward(act, p[f"{pre}.mlp.w2"], p[f"{pre}.mlp.b2"])
-            x = x + down
+            x += down
         final, _ = layernorm_forward(x, p["final_ln.scale"], p["final_ln.bias"])
         if logits_out is None:
             logits = final @ p["lm_head"]

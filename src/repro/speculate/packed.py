@@ -263,25 +263,37 @@ class PackedSpeculator:
             tokens, positions, masks, [slot.base_cache for slot in live],
             priors=priors, scratch=arena,
         )
+        # One row-wise softmax over every frontier row of the level.  The
+        # array is fresh per level, never arena scratch: set_proposal keeps
+        # a reference to each row, so reusing it would overwrite the
+        # proposals of earlier levels and ticks.
+        probs = np.empty((n_total, logits.shape[1]), dtype=np.float64)
+        temperatures = arena.take("pk.temperatures", (n_total, 1),
+                                  np.float64)
+        for b, slot in enumerate(live):
+            lo, hi = offsets[b], offsets[b + 1]
+            temperatures[lo:hi] = max(slot.temperature, 1e-8)
+            if slot.entry_context is None:
+                probs[lo:hi] = logits[lo:hi]
+                continue
+            for j, node in enumerate(slot.frontier):
+                # Replay the coupled perturbation the sequential loop
+                # applies inside decode(); it is a pure function of
+                # (seed, token context), so per-node replay is exact.
+                probs[lo + j] = slot.ssm._perturb(logits[lo + j],
+                                                  slot.context_for(node))
+        probs /= temperatures
+        stable_softmax(probs, out=probs)
         for b, slot in enumerate(live):
             lo = offsets[b]
             next_frontier: List[int] = []
             width = slot.config.widths[level]
             expandable = level + 1 < slot.config.depth
             for j, node in enumerate(slot.frontier):
-                row = logits[lo + j]
-                if slot.entry_context is not None:
-                    # Replay the coupled perturbation the sequential loop
-                    # applies inside decode(); it is a pure function of
-                    # (seed, token context), so per-node replay is exact.
-                    row = slot.ssm._perturb(row, slot.context_for(node))
-                probs = stable_softmax(
-                    np.asarray(row, dtype=np.float64)
-                    / max(slot.temperature, 1e-8)
-                )
-                slot.tree.set_proposal(node, 0, probs)
+                proposal = probs[lo + j]
+                slot.tree.set_proposal(node, 0, proposal)
                 slot.row_of[node] = slot.appended + j
-                for candidate in top_k_tokens(probs, width):
+                for candidate in top_k_tokens(proposal, width):
                     child = slot.tree.add_child(node, int(candidate),
                                                 ssm_id=0)
                     if expandable:

@@ -1,5 +1,7 @@
 """Gradient and behavior tests for the layer primitives."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,6 +113,29 @@ class TestGelu:
         _, cache = gelu_forward(x)
         dx = gelu_backward(upstream, cache)
         np.testing.assert_allclose(dx, numerical_grad(loss, x), atol=1e-6)
+
+    @pytest.mark.perf_smoke
+    def test_cost_is_a_small_multiple_of_tanh(self, rng):
+        # A ratio to np.tanh on the same block holds on any host speed.
+        # Both sides write into preallocated buffers, as the decode loop's
+        # scratch path does, so page faults on fresh arrays do not count:
+        # about 2x with the cube as x * (x * x), tens of times when it
+        # goes through np.power (x**3).
+        x = rng.normal(size=(316, 192))
+        out, tanh_out, tanh_ref = (np.empty_like(x) for _ in range(3))
+
+        def best_of_7(fn):
+            times = []
+            for _ in range(7):
+                start = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        gelu_s = best_of_7(lambda: gelu_forward(x, out=out,
+                                                tanh_out=tanh_out))
+        tanh_s = best_of_7(lambda: np.tanh(x, out=tanh_ref))
+        assert gelu_s < 5 * tanh_s, (gelu_s, tanh_s)
 
 
 class TestEmbedding:
